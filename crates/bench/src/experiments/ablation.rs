@@ -141,6 +141,7 @@ mod tests {
 
     #[test]
     fn psize_sweep_shows_the_monotone_ier_tradeoff() {
+        let _obs = crate::obs_guard::shared();
         let (points, text) = run_psize(&cfg());
         assert_eq!(points.len(), 7);
         // ier decreases monotonically with partition count (§4.1).
@@ -152,6 +153,7 @@ mod tests {
 
     #[test]
     fn ba_gains_vanish_without_locality() {
+        let _obs = crate::obs_guard::shared();
         let (points, _) = run_locality(&cfg());
         let gain = |p: &LocalityPoint| (p.oblivious_secs - p.aware_secs) / p.oblivious_secs;
         let uniform = gain(&points[0]);

@@ -394,6 +394,7 @@ mod tests {
 
     #[test]
     fn bench_runs_and_emits_json() {
+        let _obs = crate::obs_guard::session();
         let cfg = ExpConfig { scale: MsnScale::Tiny, machines: 4, partitions: 8, seed: 2010 };
         let w = Workload::prepare(cfg);
         let (results, lanes, ooc, obs, json) = run(&w, 1);

@@ -80,6 +80,7 @@ mod tests {
 
     #[test]
     fn cascading_saves_disk_never_costs_results() {
+        let _obs = crate::obs_guard::shared();
         let cfg = ExpConfig { scale: MsnScale::Tiny, machines: 8, partitions: 8, seed: 5 };
         let w = Workload::prepare(cfg);
         let (points, text) = run(&w);

@@ -182,6 +182,7 @@ mod tests {
 
     #[test]
     fn chaos_run_recovers_and_reports_overhead() {
+        let _obs = crate::obs_guard::shared();
         let cfg = ExpConfig { scale: MsnScale::Tiny, machines: 4, partitions: 4, seed: 11 };
         let w = Workload::prepare(cfg);
         let (r, json) = run(&w);
@@ -196,6 +197,7 @@ mod tests {
 
     #[test]
     fn splice_produces_valid_nesting() {
+        let _obs = crate::obs_guard::shared();
         let bench = "{\n  \"results\": [\n    {\"threads\": 1}\n  ]\n}\n";
         let out = splice_into(bench, "{\n    \"x\": 1\n  }");
         assert!(out.contains("\"chaos\""));

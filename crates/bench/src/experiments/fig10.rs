@@ -94,6 +94,7 @@ mod tests {
 
     #[test]
     fn recovery_costs_time_but_not_correctness() {
+        let _obs = crate::obs_guard::shared();
         let cfg = ExpConfig { scale: MsnScale::Tiny, machines: 8, partitions: 8, seed: 5 };
         let w = Workload::prepare(cfg);
         let (r, text) = run(&w);

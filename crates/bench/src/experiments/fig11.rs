@@ -58,6 +58,7 @@ mod tests {
 
     #[test]
     fn response_stays_roughly_flat() {
+        let _obs = crate::obs_guard::shared();
         let (points, _) = run(5);
         assert_eq!(points.len(), 4);
         // Weak scaling: total work grows 4x; response must stay within 3x

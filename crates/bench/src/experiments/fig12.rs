@@ -59,6 +59,7 @@ mod tests {
 
     #[test]
     fn propagation_wins_at_every_cluster_size() {
+        let _obs = crate::obs_guard::shared();
         let cfg = ExpConfig { scale: MsnScale::Tiny, machines: 32, partitions: 32, seed: 5 };
         let w = Workload::prepare(cfg);
         let (points, _) = run(&w);

@@ -69,6 +69,7 @@ mod tests {
 
     #[test]
     fn bandwidth_awareness_wins_on_uneven_topologies() {
+        let _obs = crate::obs_guard::shared();
         let cfg = ExpConfig { scale: MsnScale::Tiny, machines: 8, partitions: 16, seed: 5 };
         let w = Workload::prepare(cfg);
         let (points, _) = run(&w);

@@ -65,6 +65,7 @@ mod tests {
 
     #[test]
     fn propagation_wins_except_vdd() {
+        let _obs = crate::obs_guard::shared();
         let cfg = ExpConfig { scale: MsnScale::Tiny, machines: 8, partitions: 8, seed: 5 };
         let w = Workload::prepare(cfg);
         let (points, _) = run(&w);

@@ -245,6 +245,7 @@ mod tests {
 
     #[test]
     fn baseline_round_trips_and_gate_passes_on_identical_run() {
+        let _obs = crate::obs_guard::session();
         let w = tiny();
         let r = profile::run(&w);
         let snap = snapshot(&r.report);
@@ -265,6 +266,7 @@ mod tests {
 
     #[test]
     fn serve_benchmark_metrics_are_gated_under_their_own_namespace() {
+        let _obs = crate::obs_guard::session();
         let w = tiny();
         let sv = super::super::serve::run(&w);
         let snap = serve_snapshot(&sv.report);
@@ -284,6 +286,7 @@ mod tests {
 
     #[test]
     fn gate_fails_when_a_counter_drifts() {
+        let _obs = crate::obs_guard::session();
         let w = tiny();
         let r = profile::run(&w);
         let snap = snapshot(&r.report);
@@ -307,6 +310,7 @@ mod tests {
 
     #[test]
     fn gate_flags_missing_and_new_metrics_and_config_mismatch() {
+        let _obs = crate::obs_guard::shared();
         let mut base: Snapshot = BTreeMap::new();
         base.insert("a".into(), 1);
         base.insert("gone".into(), 2);

@@ -63,6 +63,7 @@ mod tests {
 
     #[test]
     fn perfetto_export_validates_and_carries_counter_tracks() {
+        let _obs = crate::obs_guard::session();
         let cfg = ExpConfig { scale: MsnScale::Tiny, machines: 4, partitions: 4, seed: 31 };
         let w = Workload::prepare(cfg);
         let r = run(&w);

@@ -149,6 +149,7 @@ mod tests {
 
     #[test]
     fn forensics_drill_produces_one_valid_thread_invariant_bundle() {
+        let _obs = crate::obs_guard::shared();
         let cfg = ExpConfig { scale: MsnScale::Tiny, machines: 4, partitions: 4, seed: 17 };
         let w = Workload::prepare(cfg);
         let r = run(&w);

@@ -1,8 +1,11 @@
 //! `reproduce -- profile`: a per-stage wall-time/bytes breakdown of the
 //! *real* execution path, captured with `surfer-obs`.
 //!
-//! One recording session covers the five instrumented subsystems:
+//! One recording session covers the instrumented subsystems:
 //!
+//! 0. **Partitioning** — the workload's k-way partition, recomputed under
+//!    the session (and checked against the shared one), so the
+//!    partitioner's `part.*` work counters are pinned too;
 //! 1. **Propagation** — PageRank iterations through the O4 engine
 //!    (Transfer/Combine stages, per-partition worker spans);
 //! 2. **MapReduce** — the VDD app through map/shuffle/sort/reduce;
@@ -65,7 +68,7 @@ pub struct ProfileResult {
     pub gantt: String,
 }
 
-/// Run the four instrumented subsystems under one recording session.
+/// Run the instrumented subsystems under one recording session.
 pub fn run(w: &Workload) -> ProfileResult {
     let surfer = w.surfer(w.t1_cluster(), OptimizationLevel::O4);
     let cluster = surfer.cluster();
@@ -74,7 +77,15 @@ pub fn run(w: &Workload) -> ProfileResult {
 
     let session = ObsSession::begin();
 
-    // 0. Partition-sketch quality analytics, as fixed-point gauges riding
+    // 0. Partitioning, recomputed under the session for its work counters.
+    // The partitioner is deterministic, so it must reproduce the workload's.
+    let kway = Workload::partitioner(&w.cfg).partition(&w.graph, w.cfg.partitions);
+    assert!(
+        kway.partitioning == w.kway.partitioning,
+        "re-partitioning under the session diverged from the workload's partition"
+    );
+
+    // Partition-sketch quality analytics, as fixed-point gauges riding
     // the same deterministic registry as the engine counters (and hence the
     // same regression gate).
     let q = quality_of(w);
@@ -249,7 +260,8 @@ pub const REQUIRED_KEYS: &[&str] = &[
     "\"traffic_matrix\"",
     "\"machine_matrix\"",
     "\"stragglers\"",
-    // Partition-sketch quality analytics.
+    // Partitioner work and partition-sketch quality analytics.
+    "\"part.fm_moves_kept\"",
     "\"partition_quality\"",
     "\"level_locality\"",
     "\"part.edge_cut_ratio_e6\"",
@@ -320,6 +332,7 @@ mod tests {
 
     #[test]
     fn profile_covers_all_subsystems_and_validates() {
+        let _obs = crate::obs_guard::session();
         let w = tiny();
         let r = run(&w);
         assert!(r.report.counter("prop.messages") > 0, "propagation instrumented");
@@ -349,6 +362,7 @@ mod tests {
         assert_eq!(m.diagonal_total(), r.report.counter("prop.local_bytes"));
         assert_eq!(m.off_diagonal_total(), r.report.counter("prop.cross_bytes"));
         assert!(r.report.gauges.contains_key("part.edge_cut_ratio_e6"), "quality gauges set");
+        assert!(r.report.counter("part.fm_passes") > 0, "partitioner instrumented");
         assert!(r.gantt.contains('T'), "gantt should show transfer spans:\n{}", r.gantt);
         let problems = validate_schema(&r.json);
         assert!(problems.is_empty(), "schema drift: {problems:?}\n{}", r.json);
@@ -356,6 +370,7 @@ mod tests {
 
     #[test]
     fn validator_flags_drift() {
+        let _obs = crate::obs_guard::session();
         let w = tiny();
         let r = run(&w);
         let broken = r.json.replace("prop.messages", "prop.renamed");

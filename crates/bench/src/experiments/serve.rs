@@ -223,6 +223,7 @@ mod tests {
 
     #[test]
     fn overload_engages_admission_and_serves_every_tenant() {
+        let _obs = crate::obs_guard::session();
         let w = tiny();
         let r = run(&w);
         // Open loop past saturation: the queue must fill and typed
@@ -254,6 +255,7 @@ mod tests {
 
     #[test]
     fn serve_benchmark_is_deterministic() {
+        let _obs = crate::obs_guard::session();
         let w = tiny();
         let a = run(&w);
         let b = run(&w);

@@ -61,6 +61,7 @@ mod tests {
 
     #[test]
     fn shape_matches_paper() {
+        let _obs = crate::obs_guard::shared();
         let cfg = ExpConfig { scale: MsnScale::Tiny, machines: 8, partitions: 16, seed: 5 };
         let w = Workload::prepare(cfg);
         let (rows, text) = run(&w);

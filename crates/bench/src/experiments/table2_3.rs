@@ -87,6 +87,7 @@ mod tests {
 
     #[test]
     fn optimizations_improve_monotonically_in_shape() {
+        let _obs = crate::obs_guard::shared();
         let cfg = ExpConfig { scale: MsnScale::Tiny, machines: 8, partitions: 8, seed: 2010 };
         let w = Workload::prepare(cfg);
         let (res, text) = run(&w);

@@ -45,6 +45,7 @@ pub fn run() -> String {
 mod tests {
     #[test]
     fn renders_all_apps() {
+        let _obs = crate::obs_guard::shared();
         let text = super::run();
         for app in ["VDD", "NR", "RS", "RLG", "TC", "TFL"] {
             assert!(text.contains(app), "missing {app}:\n{text}");

@@ -53,6 +53,7 @@ mod tests {
 
     #[test]
     fn monotonicity_and_dominance() {
+        let _obs = crate::obs_guard::shared();
         let cfg = ExpConfig { scale: MsnScale::Tiny, machines: 8, partitions: 16, seed: 5 };
         let (cols, text) = run(&cfg);
         assert_eq!(cols.len(), 4);

@@ -66,9 +66,14 @@ impl Workload {
     /// Generate and partition.
     pub fn prepare(cfg: ExpConfig) -> Self {
         let graph = Arc::new(msn_like(cfg.scale, cfg.seed));
-        let kway = RecursivePartitioner::new(BisectConfig { seed: cfg.seed, ..Default::default() })
-            .partition(&graph, cfg.partitions);
+        let kway = Self::partitioner(&cfg).partition(&graph, cfg.partitions);
         Workload { graph, kway, cfg }
+    }
+
+    /// The partitioner behind [`Workload::kway`]: default tuning, seeded by
+    /// the config.
+    pub fn partitioner(cfg: &ExpConfig) -> RecursivePartitioner {
+        RecursivePartitioner::new(BisectConfig { seed: cfg.seed, ..Default::default() })
     }
 
     /// Place the shared partitioning on `topology` per the optimization
@@ -117,12 +122,36 @@ pub fn paper_topologies(machines: u16, seed: u64) -> Vec<Topology> {
     ]
 }
 
+/// Test-only guard for the process-global obs registry. A test holding an
+/// `ObsSession` records every counter bumped in the process, including the
+/// work of tests running beside it, so session tests take the guard
+/// exclusively and tests that run engines, partitioners or job managers
+/// take it shared: those still run in parallel with each other, but never
+/// under another test's session.
+#[cfg(test)]
+pub(crate) mod obs_guard {
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static LOCK: RwLock<()> = RwLock::new(());
+
+    /// For a test that opens an `ObsSession`: run alone.
+    pub fn session() -> RwLockWriteGuard<'static, ()> {
+        LOCK.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// For any other test that does instrumented work.
+    pub fn shared() -> RwLockReadGuard<'static, ()> {
+        LOCK.read().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn workload_prepares_and_places() {
+        let _obs = crate::obs_guard::shared();
         let cfg = ExpConfig { scale: MsnScale::Tiny, machines: 4, partitions: 4, seed: 7 };
         let w = Workload::prepare(cfg);
         assert_eq!(w.kway.partitioning.num_partitions(), 4);

@@ -84,6 +84,7 @@ mod tests {
 
     #[test]
     fn every_app_runs_on_both_primitives() {
+        let _obs = crate::obs_guard::shared();
         let cfg = ExpConfig { scale: MsnScale::Tiny, machines: 4, partitions: 4, seed: 3 };
         let w = Workload::prepare(cfg);
         let s = w.surfer(w.t1_cluster(), OptimizationLevel::O4);

@@ -10,7 +10,7 @@
 //! | D1   | deny     | no `HashMap`/`HashSet` in core/mapreduce/partition |
 //! | D2   | deny     | no `Instant`/`SystemTime`/`thread::current` outside obs + cluster/time |
 //! | E1   | deny     | no `unwrap`/`expect`/`panic!`/`unimplemented!`/`todo!` on library paths |
-//! | P1   | advisory | no heap allocation in `for` bodies of the O1–O4 kernels (deny in `core/src/kernel.rs` + `core/src/column.rs`) |
+//! | P1   | advisory | no heap allocation in `for` bodies of the O1–O4 kernels (deny in `core/src/kernel.rs`, `core/src/column.rs`, `partition/src/wgraph.rs`, `partition/src/refine.rs`) |
 //! | W1   | deny     | waivers must name a known rule and carry a reason |
 //!
 //! Justified exceptions use `// lint:allow(RULE, reason)` inline, or a

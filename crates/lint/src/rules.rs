@@ -138,14 +138,23 @@ fn p1_in_scope(path: &str) -> bool {
 }
 
 /// Files where P1 is promoted from advisory to deny: the columnar kernel
-/// modules were written alloc-free from day one, so any allocation creeping
-/// into their `for` bodies is a regression, not legacy debt.
+/// modules were written alloc-free from day one, and the partitioner's CSR
+/// graph and FM refinement replaced per-vertex maps and per-pass heaps with
+/// flat arrays and reused buffers, so any allocation creeping into their
+/// `for` bodies is a regression, not legacy debt.
 fn p1_deny_scope(path: &str) -> bool {
-    ["crates/core/src/kernel.rs", "crates/core/src/column.rs"].contains(&path)
+    [
+        "crates/core/src/kernel.rs",
+        "crates/core/src/column.rs",
+        "crates/partition/src/wgraph.rs",
+        "crates/partition/src/refine.rs",
+    ]
+    .contains(&path)
 }
 
 /// Effective severity of `rule` at `path` — the catalog severity, except
-/// P1 which escalates to deny inside the columnar kernel modules.
+/// P1 which escalates to deny inside the columnar kernel modules and the
+/// partitioner's graph and refinement modules.
 pub fn severity_for(rule_id: &str, path: &str) -> Severity {
     if rule_id == "P1" && p1_deny_scope(path) {
         return Severity::Deny;
@@ -453,6 +462,21 @@ fn for_bodies(live: &[usize], lexed: &Lexed, src: &[u8]) -> Vec<(usize, usize)> 
     out
 }
 
+/// Types whose `::new` allocates (or will on first insert): growable
+/// buffers, boxes and the std collections — a per-iteration map or heap is
+/// the same hazard as a per-iteration `Vec`.
+const ALLOCATING_TYPES: &[&[u8]] = &[
+    b"Vec",
+    b"String",
+    b"Box",
+    b"BTreeMap",
+    b"BTreeSet",
+    b"HashMap",
+    b"HashSet",
+    b"BinaryHeap",
+    b"VecDeque",
+];
+
 /// Flag allocation patterns inside one loop body (live-index range).
 fn check_alloc_in_loop(
     live: &[usize],
@@ -471,7 +495,7 @@ fn check_alloc_in_loop(
             continue;
         }
         let t = text(k);
-        let hit = if (t == b"Vec" || t == b"String" || t == b"Box")
+        let hit = if ALLOCATING_TYPES.contains(&t)
             && k + 3 < end
             && is_punct(k + 1, b':')
             && is_punct(k + 2, b':')
@@ -593,5 +617,21 @@ mod tests {
         assert!(run("crates/apps/src/pagerank.rs", src).iter().all(|f| f.rule != "P1"));
         assert_eq!(severity_for("D1", "crates/core/src/kernel.rs"), Severity::Deny);
         assert_eq!(severity_for("ZZ", "anything.rs"), Severity::Deny);
+    }
+
+    #[test]
+    fn p1_denies_per_vertex_maps_in_the_partitioner_fast_path() {
+        // The shape the CSR rewrite removed: a map allocated per vertex.
+        let src = "fn f(n: usize) {\n    for v in 0..n {\n        let m = BTreeMap::new();\n        let h = BinaryHeap::new();\n    }\n}\n";
+        for path in ["crates/partition/src/wgraph.rs", "crates/partition/src/refine.rs"] {
+            let f = run(path, src);
+            let p1: Vec<_> = f.iter().filter(|f| f.rule == "P1").collect();
+            assert_eq!(p1.len(), 2, "{path}");
+            assert!(p1[0].message.contains("BTreeMap::new"), "{}", p1[0].message);
+            assert!(p1[1].message.contains("BinaryHeap::new"), "{}", p1[1].message);
+            assert_eq!(severity_for("P1", path), Severity::Deny, "{path}");
+        }
+        // The rest of the partitioner keeps its defaults: P1 does not apply.
+        assert!(run("crates/partition/src/bisect.rs", src).iter().all(|f| f.rule != "P1"));
     }
 }

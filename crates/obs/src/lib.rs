@@ -144,6 +144,20 @@ pub mod names {
     pub const SPILL_MAILBOX_FRAMES_READ: &str = "spill.mailbox_frames_read";
     /// Iterations executed on the out-of-core lane.
     pub const SPILL_ITERATIONS: &str = "spill.iterations";
+
+    // The `part.*` counters: work done by the multilevel bisection pipeline
+    // (`surfer-partition/src/bisect.rs`), summed over every bisection run
+    // under the session. The partitioner is deterministic and the adds
+    // commute, so the totals do not depend on the thread schedule.
+
+    /// Coarsening levels kept (contracted graphs built and refined back).
+    pub const PART_LEVELS: &str = "part.levels";
+    /// Fiduccia–Mattheyses refinement passes.
+    pub const PART_FM_PASSES: &str = "part.fm_passes";
+    /// FM vertex moves, including the ones rewound at the end of a pass.
+    pub const PART_FM_MOVES: &str = "part.fm_moves";
+    /// FM moves kept: the best prefix of each pass.
+    pub const PART_FM_MOVES_KEPT: &str = "part.fm_moves_kept";
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);

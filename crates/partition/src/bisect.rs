@@ -6,9 +6,10 @@
 //! each step.
 
 use crate::initial::gggp;
-use crate::refine::fm_refine_bounded;
+use crate::refine::FmWorkspace;
 use crate::wgraph::WGraph;
 use surfer_graph::CsrGraph;
+use surfer_obs::names;
 
 /// Tuning knobs for the multilevel pipeline.
 #[derive(Debug, Clone)]
@@ -52,43 +53,50 @@ pub struct Bisection {
 }
 
 /// Bisect a weighted graph with the multilevel pipeline.
+///
+/// Under an `ObsSession` this adds its work to the `part.*` counters of
+/// [`surfer_obs::names`]: coarsening levels kept, FM passes, FM moves and
+/// the moves each pass kept.
 pub fn bisect_wgraph(g: &WGraph, cfg: &BisectConfig) -> Bisection {
     assert!(g.num_vertices() >= 2, "cannot bisect fewer than 2 vertices");
-    // Coarsening phase. `cur` is always the coarsest graph so far;
-    // `fine_levels[i]` is the finer graph `maps[i]` projects from.
-    let mut cur = g.clone();
-    let mut fine_levels: Vec<WGraph> = Vec::new();
+    // Coarsening phase. `coarse[i]` contracts the graph one level finer
+    // (`g` itself for i = 0) through `maps[i]`.
+    let mut coarse: Vec<WGraph> = Vec::new();
     let mut maps: Vec<Vec<u32>> = Vec::new();
     let mut round = 0u64;
-    while cur.num_vertices() > cfg.coarsen_target {
+    loop {
+        let cur = coarse.last().unwrap_or(g);
+        if cur.num_vertices() <= cfg.coarsen_target {
+            break;
+        }
         let matching = cur.heavy_edge_matching(cfg.seed.wrapping_add(round));
-        let (coarse, map) = cur.contract(&matching);
-        let shrink = coarse.num_vertices() as f64 / cur.num_vertices() as f64;
+        let shrink = WGraph::contracted_size(&matching) as f64 / cur.num_vertices() as f64;
         if shrink > cfg.min_shrink {
             break; // diminishing returns (e.g. star graphs)
         }
-        fine_levels.push(cur);
-        cur = coarse;
+        let (next, map) = cur.contract(&matching);
+        coarse.push(next);
         maps.push(map);
         round += 1;
     }
 
     // Initial partitioning on the coarsest graph.
-    let mut side = gggp(&cur, cfg.initial_tries, cfg.seed ^ 0xF00D);
-    fm_refine_bounded(&cur, &mut side, cfg.refine_passes, cfg.max_side_fraction);
+    let mut fm = FmWorkspace::default();
+    let coarsest = coarse.last().unwrap_or(g);
+    let mut side = gggp(coarsest, cfg.initial_tries, cfg.seed ^ 0xF00D);
+    fm.refine(coarsest, &mut side, cfg.refine_passes, cfg.max_side_fraction);
 
     // Uncoarsening phase: project through each map, refine.
     for level in (0..maps.len()).rev() {
-        let fine = &fine_levels[level];
-        let map = &maps[level];
-        let mut fine_side = vec![false; fine.num_vertices()];
-        for (v, &cv) in map.iter().enumerate() {
-            fine_side[v] = side[cv as usize];
-        }
-        fm_refine_bounded(fine, &mut fine_side, cfg.refine_passes, cfg.max_side_fraction);
-        side = fine_side;
+        let fine = if level == 0 { g } else { &coarse[level - 1] };
+        side = maps[level].iter().map(|&cv| side[cv as usize]).collect();
+        fm.refine(fine, &mut side, cfg.refine_passes, cfg.max_side_fraction);
     }
 
+    surfer_obs::counter_add(names::PART_LEVELS, maps.len() as u64);
+    surfer_obs::counter_add(names::PART_FM_PASSES, fm.stats.passes);
+    surfer_obs::counter_add(names::PART_FM_MOVES, fm.stats.moves);
+    surfer_obs::counter_add(names::PART_FM_MOVES_KEPT, fm.stats.moves_kept);
     let cut_weight = g.cut_weight(&side);
     Bisection { side, cut_weight }
 }

@@ -64,9 +64,9 @@ fn grow_from(g: &WGraph, seed_vertex: usize) -> (Vec<bool>, u64) {
         first = false;
         // Absorb v.
         side[v] = true;
-        in_weight += g.vwgt[v];
+        in_weight += g.vwgt()[v];
         cut = (cut as i64 - gain[v]) as u64;
-        for &(u, w) in &g.adj[v] {
+        for (u, w) in g.adj(v) {
             let u = u as usize;
             if side[u] {
                 continue;

@@ -62,9 +62,12 @@ impl RecursivePartitioner {
             g.num_vertices()
         );
         let levels = num_partitions.trailing_zeros();
-        let w = WGraph::from_csr(g);
         let ids: Vec<u32> = (0..g.num_vertices()).collect();
-        let sub = self.recurse(&w, ids, 0, levels, 0, self.config.seed);
+        let sub = if levels == 0 {
+            leaf(ids, 0, 0)
+        } else {
+            self.recurse(&WGraph::from_csr(g), &ids, 0, levels, 0, self.config.seed)
+        };
 
         // Assemble the flat assignment.
         let mut pids = vec![0u32; g.num_vertices() as usize];
@@ -98,43 +101,31 @@ impl RecursivePartitioner {
         KWayResult { partitioning, sketch }
     }
 
-    /// Partition the subgraph induced by `ids` (indices into the root graph)
-    /// into `2^(levels - level)` parts with pids starting at `first_pid`.
+    /// Bisect `sub`, whose local vertex `l` is root vertex `back[l]`, and
+    /// partition each half into `2^(levels - level - 1)` parts with pids
+    /// starting at `first_pid`.
     fn recurse(
         &self,
-        root: &WGraph,
-        ids: Vec<u32>,
+        sub: &WGraph,
+        back: &[u32],
         level: u32,
         levels: u32,
         first_pid: u32,
         seed: u64,
     ) -> SubResult {
-        let vertex_count = ids.len() as u32;
-        if level == levels {
-            return SubResult {
-                assignments: ids.into_iter().map(|v| (v, first_pid)).collect(),
-                nodes: vec![OwnedNode {
-                    level,
-                    parent_local: usize::MAX,
-                    children_local: None,
-                    pid: Some(first_pid),
-                    cut_weight: 0,
-                    vertex_count,
-                }],
-            };
-        }
-        let (sub, back) = root.induced(&ids);
+        let vertex_count = back.len() as u32;
         let mut cfg = self.config.clone();
         cfg.seed = seed;
-        let (left_ids, right_ids, cut) = if sub.num_vertices() >= 2 {
-            let b = bisect_wgraph(&sub, &cfg);
+        // Halves as local ids of `sub`, ascending.
+        let (left, right, cut) = if sub.num_vertices() >= 2 {
+            let b = bisect_wgraph(sub, &cfg);
             let mut left = Vec::new();
             let mut right = Vec::new();
             for (local, &s) in b.side.iter().enumerate() {
                 if s {
-                    left.push(back[local]);
+                    left.push(local as u32);
                 } else {
-                    right.push(back[local]);
+                    right.push(local as u32);
                 }
             }
             // Guard: a degenerate bisection (empty side) cannot seed the next
@@ -147,25 +138,40 @@ impl RecursivePartitioner {
             (left, right, b.cut_weight)
         } else {
             // 0- or 1-vertex subgraph: halves are (rest, empty-but-padded).
-            (ids.clone(), Vec::new(), 0)
+            ((0..sub.num_vertices() as u32).collect(), Vec::new(), 0)
         };
+        let root_ids =
+            |local: &[u32]| -> Vec<u32> { local.iter().map(|&l| back[l as usize]).collect() };
 
         let half = 1u32 << (levels - level - 1);
         let (lseed, rseed) = (seed.wrapping_mul(6364136223846793005).wrapping_add(1), seed.wrapping_mul(6364136223846793005).wrapping_add(2));
-        let (mut lres, rres) = if left_ids.len() + right_ids.len() > 4096 {
-            // Parallel halves for big nodes; joining both keeps the merge
-            // deterministic regardless of scheduling.
-            std::thread::scope(|s| {
-                let lh =
-                    s.spawn(|| self.recurse(root, left_ids, level + 1, levels, first_pid, lseed));
-                let rres = self.recurse(root, right_ids, level + 1, levels, first_pid + half, rseed);
-                (lh.join().expect("left half"), rres)
-            })
-        } else {
+        let (mut lres, rres) = if level + 1 == levels {
             (
-                self.recurse(root, left_ids, level + 1, levels, first_pid, lseed),
-                self.recurse(root, right_ids, level + 1, levels, first_pid + half, rseed),
+                leaf(root_ids(&left), level + 1, first_pid),
+                leaf(root_ids(&right), level + 1, first_pid + half),
             )
+        } else {
+            // Both halves are induced from this node's graph through one
+            // dense local-index scratch.
+            let (lsub, rsub) = {
+                let mut local_of = vec![u32::MAX; sub.num_vertices()];
+                (sub.induced_with(&left, &mut local_of), sub.induced_with(&right, &mut local_of))
+            };
+            let (lback, rback) = (root_ids(&left), root_ids(&right));
+            let run_left = || self.recurse(&lsub, &lback, level + 1, levels, first_pid, lseed);
+            let run_right =
+                || self.recurse(&rsub, &rback, level + 1, levels, first_pid + half, rseed);
+            if back.len() > 4096 {
+                // Parallel halves for big nodes; joining both keeps the merge
+                // deterministic regardless of scheduling.
+                std::thread::scope(|s| {
+                    let lh = s.spawn(run_left);
+                    let rres = run_right();
+                    (lh.join().expect("left half"), rres)
+                })
+            } else {
+                (run_left(), run_right())
+            }
         };
 
         // Merge: self node first, then the left subtree, then the right.
@@ -196,6 +202,23 @@ impl RecursivePartitioner {
         let mut assignments = lres.assignments;
         assignments.extend(rres.assignments);
         SubResult { assignments, nodes }
+    }
+}
+
+/// A leaf of the recursion: every vertex of `ids` (root indices) goes to
+/// partition `pid`.
+fn leaf(ids: Vec<u32>, level: u32, pid: u32) -> SubResult {
+    let vertex_count = ids.len() as u32;
+    SubResult {
+        assignments: ids.into_iter().map(|v| (v, pid)).collect(),
+        nodes: vec![OwnedNode {
+            level,
+            parent_local: usize::MAX,
+            children_local: None,
+            pid: Some(pid),
+            cut_weight: 0,
+            vertex_count,
+        }],
     }
 }
 

@@ -1,9 +1,12 @@
 //! Property and determinism tests for the `surfer-obs` tracer.
 //!
-//! Every test here begins an [`surfer::obs::ObsSession`], so the tests in
-//! this binary serialize on the session gate and never observe each
-//! other's metrics. (The conformance and end-to-end suites are deliberately
-//! session-free for the same reason.) Covered properties:
+//! Every test here begins an [`surfer::obs::ObsSession`]. The session gate
+//! alone would let one test load a graph while another records, and
+//! loading partitions the graph, which adds `part.*` counters to whichever
+//! session is open; so every test also holds [`SERIAL`] from its first
+//! line, and never observes another test's metrics. (The conformance and
+//! end-to-end suites are deliberately session-free for the same reason.)
+//! Covered properties:
 //!
 //! * obs `exec.*` counters are *identical* to the `ExecReport` totals the
 //!   simulator returns, for random graphs, topologies and thread counts
@@ -19,6 +22,7 @@
 //!   no-op replanner (all-alive failover through the partition store).
 
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use surfer::apps::pagerank::{NetworkRanking, PageRankPropagation};
 use surfer::cluster::{
     resolve_threads, ClusterConfig, FaultPlan, MachineId, PartitionStore, Topology,
@@ -29,6 +33,13 @@ use surfer::core::{
 use surfer::graph::generators::social::{msn_like, MsnScale};
 use surfer::graph::CsrGraph;
 use surfer::obs::ObsSession;
+
+/// Held for the whole of every test in this binary.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn build(g: &CsrGraph, cluster: ClusterConfig, partitions: u32, threads: usize) -> Surfer {
     Surfer::builder(cluster.build())
@@ -51,6 +62,7 @@ proptest! {
         partitions_log2 in 0u32..5,
         threads in 1usize..4,
     ) {
+        let _serial = serial();
         let g = msn_like(MsnScale::Tiny, seed);
         let cluster = if topo == 1 {
             // Two pods need an even machine count.
@@ -83,6 +95,7 @@ proptest! {
         partitions_log2 in 1u32..4,
         threads in 1usize..4,
     ) {
+        let _serial = serial();
         let partitions = 1u32 << partitions_log2;
         let (trace, _) = propagation_trace(seed, partitions, threads);
         let m = trace.traffic_matrix();
@@ -114,6 +127,7 @@ fn propagation_trace(seed: u64, partitions: u32, threads: usize) -> (surfer::obs
 
 #[test]
 fn traffic_matrices_are_thread_invariant_and_replanner_stable() {
+    let _serial = serial();
     const PARTITIONS: u32 = 8;
     let runs: Vec<_> =
         [1, 2, resolve_threads(0)].iter().map(|&t| propagation_trace(0xBEEF, PARTITIONS, t)).collect();
@@ -150,6 +164,7 @@ fn traffic_matrices_are_thread_invariant_and_replanner_stable() {
 
 #[test]
 fn span_trees_are_well_nested() {
+    let _serial = serial();
     let g = msn_like(MsnScale::Tiny, 7);
     let surfer = build(&g, ClusterConfig::tree(2, 1, 4), 8, 2);
 
@@ -213,6 +228,7 @@ fn golden_trace(threads: usize, dir_tag: &str) -> String {
 
 #[test]
 fn canonical_trace_is_deterministic_and_thread_invariant() {
+    let _serial = serial();
     let first = golden_trace(1, "a");
     assert_eq!(first, golden_trace(1, "b"), "trace not deterministic run-to-run");
     assert_eq!(first, golden_trace(2, "c"), "non-timing trace content depends on thread count");

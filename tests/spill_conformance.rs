@@ -12,9 +12,16 @@
 //! path. Property tests sweep random graphs × random budgets, and push
 //! damage through the spill-frame and edge-block codecs expecting typed
 //! errors, never panics.
+//!
+//! The obs registry is process-global, so a test holding an `ObsSession`
+//! would also count the `spill.*` work of any test running beside it. The
+//! two session tests therefore take [`SESSION_LOCK`] exclusively, and every
+//! other test takes it shared: the session-free tests still run in
+//! parallel with each other, but never under a session.
 
 use proptest::prelude::*;
 use std::fmt::Debug;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use surfer::apps::{
     BreadthFirstSearch, ConnectedComponents, NetworkRanking, RecommenderSystem, ReverseLinkGraph,
     TriangleCounting, TwoHopFriends, VertexDegreeDistribution,
@@ -32,6 +39,20 @@ const PARTITIONS: u32 = 8;
 /// Generic per-vertex state size for deriving budgets (the exact per-program
 /// figure only shifts the working set by a few percent).
 const STATE_BYTES: u64 = 16;
+
+/// Held exclusively by the tests that record an `ObsSession`, shared by
+/// all the others.
+static SESSION_LOCK: RwLock<()> = RwLock::new(());
+
+/// Run beside other session-free tests, never under a session.
+fn session_free() -> RwLockReadGuard<'static, ()> {
+    SESSION_LOCK.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Run alone, so the session records this test's work only.
+fn session_exclusive() -> RwLockWriteGuard<'static, ()> {
+    SESSION_LOCK.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Thread knobs to sweep, deduplicated by what they resolve to on this host.
 fn thread_sweep() -> Vec<usize> {
@@ -69,6 +90,7 @@ where
     A: SurferApp,
     A::Output: Debug,
 {
+    let _lock = session_free();
     let probe = build(g, 1, MemoryBudget::unlimited());
     let ws = working_set_bytes(probe.partitioned(), STATE_BYTES);
     let reference = {
@@ -137,6 +159,7 @@ fn breadth_first_search_spill_conforms() {
 /// out-of-core lane — while the output still matches the in-memory engine.
 #[test]
 fn heavy_spill_records_nonzero_spill_counters() {
+    let _lock = session_exclusive();
     let g = graph();
     let app = NetworkRanking::new(4);
     let probe = build(&g, 1, MemoryBudget::unlimited());
@@ -168,6 +191,7 @@ fn heavy_spill_records_nonzero_spill_counters() {
 /// recorder totals must be identical at every thread count.
 #[test]
 fn spill_counters_are_thread_invariant() {
+    let _lock = session_exclusive();
     let g = graph();
     let app = NetworkRanking::new(3);
     let probe = build(&g, 1, MemoryBudget::unlimited());
@@ -207,6 +231,7 @@ proptest! {
     /// the unlimited engine bit-for-bit, whatever spills.
     #[test]
     fn random_budgets_preserve_results(g in arb_graph(), denom in 1u64..64, seed in 0u64..100) {
+        let _lock = session_free();
         let app = NetworkRanking::new(3);
         // Largest power of two ≤ min(4, |V|).
         let cap = g.num_vertices().max(1);
@@ -235,6 +260,7 @@ proptest! {
     /// block-size target.
     #[test]
     fn edge_blocks_roundtrip(g in arb_graph(), target in 1u64..4096) {
+        let _lock = session_free();
         let members: Vec<VertexId> = g.vertices().collect();
         for span in block::plan_edge_blocks(&g, &members, target) {
             let run = &members[span.start..span.end];
@@ -259,6 +285,7 @@ proptest! {
         flip in 0usize..1_000_000,
         cut in 0usize..1_000_000)
     {
+        let _lock = session_free();
         let mut blob = Vec::new();
         for (i, p) in payloads.iter().enumerate() {
             encode_frame(&mut blob, SPILL_MAGIC, 7, i as u32, p);
