@@ -11,7 +11,8 @@
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
 use surfer_core::{
-    ColumnarState, Propagation, PropagationEngine, SpillCodec, StateColumn, SurferApp, SurferResult, VectorizedProgram,
+    Checkpointable, ColumnarLane, ColumnarState, Propagation, PropagationEngine, SpillCodec,
+    StateColumn, SurferApp, SurferResult, VectorizedProgram,
 };
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
@@ -80,6 +81,18 @@ pub struct CcState {
     pub changed: bool,
 }
 
+/// Label then changed flag, so served CC jobs can encode their result.
+impl Checkpointable for CcState {
+    fn write_to(&self, out: &mut Vec<u8>) {
+        self.label.write_to(out);
+        self.changed.write_to(out);
+    }
+
+    fn read_from(buf: &mut &[u8]) -> Option<Self> {
+        Some(CcState { label: u32::read_from(buf)?, changed: bool::read_from(buf)? })
+    }
+}
+
 /// CC as a propagation program.
 #[derive(Debug, Clone, Copy)]
 pub struct ComponentPropagation;
@@ -125,6 +138,10 @@ impl Propagation for ComponentPropagation {
 
     fn spill_decode(&self, buf: &mut &[u8]) -> Option<u32> {
         u32::spill_from(buf)
+    }
+
+    fn columnar(&self) -> Option<&dyn ColumnarLane<CcState>> {
+        Some(self)
     }
 }
 

@@ -10,7 +10,8 @@ use crate::ExactOutput;
 use std::collections::HashMap;
 use surfer_cluster::ExecReport;
 use surfer_core::{
-    ColumnarState, Propagation, PropagationEngine, SpillCodec, StateColumn, SurferApp, SurferResult, VectorizedProgram,
+    ColumnarLane, ColumnarState, Propagation, PropagationEngine, SpillCodec, StateColumn, SurferApp,
+    SurferResult, VectorizedProgram,
 };
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
@@ -122,6 +123,10 @@ impl Propagation for PageRankPropagation {
 
     fn spill_decode(&self, buf: &mut &[u8]) -> Option<f64> {
         f64::spill_from(buf)
+    }
+
+    fn columnar(&self) -> Option<&dyn ColumnarLane<f64>> {
+        Some(self)
     }
 }
 

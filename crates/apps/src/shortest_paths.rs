@@ -6,7 +6,8 @@
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
 use surfer_core::{
-    ColumnarState, Propagation, PropagationEngine, SpillCodec, StateColumn, SurferApp, SurferResult, VectorizedProgram,
+    Checkpointable, ColumnarLane, ColumnarState, Propagation, PropagationEngine, SpillCodec,
+    StateColumn, SurferApp, SurferResult, VectorizedProgram,
 };
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
@@ -81,6 +82,18 @@ pub struct BfsState {
     pub frontier: bool,
 }
 
+/// Distance then frontier flag, so served BFS jobs can encode their result.
+impl Checkpointable for BfsState {
+    fn write_to(&self, out: &mut Vec<u8>) {
+        self.dist.write_to(out);
+        self.frontier.write_to(out);
+    }
+
+    fn read_from(buf: &mut &[u8]) -> Option<Self> {
+        Some(BfsState { dist: u32::read_from(buf)?, frontier: bool::read_from(buf)? })
+    }
+}
+
 /// BFS as a propagation program.
 #[derive(Debug)]
 pub struct BfsPropagation {
@@ -133,6 +146,10 @@ impl Propagation for BfsPropagation {
 
     fn spill_decode(&self, buf: &mut &[u8]) -> Option<u32> {
         u32::spill_from(buf)
+    }
+
+    fn columnar(&self) -> Option<&dyn ColumnarLane<BfsState>> {
+        Some(self)
     }
 }
 

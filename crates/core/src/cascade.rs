@@ -47,6 +47,8 @@ impl CascadeAnalysis {
         let n = g.num_vertices() as usize;
         let mut depth = vec![INF; n];
         let mut d_min = u32::MAX;
+        // Each partition's BFS drains the queue, so one buffer serves all.
+        let mut queue: VecDeque<VertexId> = VecDeque::new();
         for pid in pg.partitions() {
             let meta = pg.meta(pid);
             if meta.members.is_empty() {
@@ -57,7 +59,6 @@ impl CascadeAnalysis {
             // but walking our in-edges via the boundary set is direct:
             // a boundary member is a source iff some in-edge is external —
             // recompute precisely from the transpose-free structure below.
-            let mut queue: VecDeque<VertexId> = VecDeque::new();
             // Mark members for membership tests.
             // (Partition sizes are modest; a HashSet would also work, but
             // members are sorted so binary search keeps allocations low.)
@@ -128,6 +129,16 @@ impl CascadeAnalysis {
             .sum();
         cascadable as f64 / meta.bytes as f64
     }
+
+    /// Each partition's charged share of its disk traffic at in-phase
+    /// position `pos` (1-based), written into `frac` (one slot per
+    /// partition): the full scan at a phase start, else the share the
+    /// cascaded batch did not already cover.
+    fn fill_disk_fractions(&self, pg: &PartitionedGraph, pos: u32, frac: &mut [f64]) {
+        for (pid, f) in pg.partitions().zip(frac.iter_mut()) {
+            *f = if pos == 1 { 1.0 } else { 1.0 - self.cascadable_byte_fraction(pg, pid, pos) };
+        }
+    }
 }
 
 /// Run `iterations` of `prog` with cascaded phases; returns the cost report
@@ -142,6 +153,7 @@ pub fn run_cascaded<P: Propagation>(
     let pg = engine.graph();
     let analysis = CascadeAnalysis::analyze(pg);
     let mut total = ExecReport::new(engine.cluster().num_machines());
+    let mut frac = vec![1.0; pg.num_partitions() as usize];
     for it in 0..iterations {
         // Position within the current phase, 1-based.
         let pos = it % analysis.d_min + 1;
@@ -152,13 +164,7 @@ pub fn run_cascaded<P: Propagation>(
                 surfer_obs::counter_add("cascade.discounted_iterations", 1);
             }
         }
-        let frac: Vec<f64> = if pos == 1 {
-            vec![1.0; pg.num_partitions() as usize]
-        } else {
-            pg.partitions()
-                .map(|pid| 1.0 - analysis.cascadable_byte_fraction(pg, pid, pos))
-                .collect()
-        };
+        analysis.fill_disk_fractions(pg, pos, &mut frac);
         let r = engine.run_iteration_discounted(prog, state, Some(&frac))?;
         total.absorb(&r);
     }
@@ -178,6 +184,7 @@ pub fn run_cascaded_vectorized<P: VectorizedProgram>(
     let pg = engine.graph();
     let analysis = CascadeAnalysis::analyze(pg);
     let mut total = ExecReport::new(engine.cluster().num_machines());
+    let mut frac = vec![1.0; pg.num_partitions() as usize];
     for it in 0..iterations {
         let pos = it % analysis.d_min + 1;
         let _s = surfer_obs::span_with("cascade.phase", || format!("pos{pos}"));
@@ -187,13 +194,7 @@ pub fn run_cascaded_vectorized<P: VectorizedProgram>(
                 surfer_obs::counter_add("cascade.discounted_iterations", 1);
             }
         }
-        let frac: Vec<f64> = if pos == 1 {
-            vec![1.0; pg.num_partitions() as usize]
-        } else {
-            pg.partitions()
-                .map(|pid| 1.0 - analysis.cascadable_byte_fraction(pg, pid, pos))
-                .collect()
-        };
+        analysis.fill_disk_fractions(pg, pos, &mut frac);
         let r = engine.run_iteration_vectorized_discounted(prog, state, Some(&frac))?;
         total.absorb(&r);
     }

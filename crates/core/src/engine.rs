@@ -235,6 +235,20 @@ pub(crate) fn publish_iteration_sample(tally: &[PartitionTally], mailbox_sizes: 
     surfer_obs::record_sample(sample);
 }
 
+/// Reject a state vector that does not cover every vertex of `pg`. The
+/// scalar, columnar and spill lanes all run this before touching anything,
+/// so a caller's length mistake is a typed error on every lane.
+pub(crate) fn check_state_len(pg: &PartitionedGraph, len: usize) -> SurferResult<()> {
+    let n = pg.graph().num_vertices() as usize;
+    if len == n {
+        Ok(())
+    } else {
+        Err(SurferError::InvalidInput {
+            reason: format!("state vector has {len} entries but the graph has {n} vertices"),
+        })
+    }
+}
+
 /// The propagation engine bound to a cluster + partitioned graph.
 #[derive(Debug, Clone)]
 pub struct PropagationEngine<'a> {
@@ -311,6 +325,8 @@ impl<'a> PropagationEngine<'a> {
     /// A panic in the program's `transfer`/`combine` surfaces as
     /// [`SurferError::UdfPanic`]; `state` is then untouched (writeback only
     /// happens after every worker succeeds), so the iteration is retryable.
+    /// A `state` whose length is not the vertex count is rejected up front
+    /// with [`SurferError::InvalidInput`].
     pub fn run_iteration<P: Propagation>(
         &self,
         prog: &P,
@@ -358,7 +374,9 @@ impl<'a> PropagationEngine<'a> {
         max_iterations: u32,
     ) -> SurferResult<(ExecReport, u32)> {
         let mut total = ExecReport::new(self.cluster.num_machines());
+        let _ctx = surfer_obs::journal::ctx_enter(surfer_obs::journal::current_ctx());
         for it in 0..max_iterations {
+            surfer_obs::journal::set_iteration(it);
             let (report, messages) = self.run_iteration_counted(prog, state)?;
             total.absorb(&report);
             if messages == 0 {
@@ -404,6 +422,7 @@ impl<'a> PropagationEngine<'a> {
                 spill_faults,
             );
         }
+        check_state_len(self.graph, state.len())?;
         let _iter_span = surfer_obs::span_seq("prop.iteration");
         surfer_obs::journal::record(surfer_obs::journal::EventKind::IterationStart {
             lane: "resident",
@@ -411,7 +430,6 @@ impl<'a> PropagationEngine<'a> {
         let pg = self.graph;
         let g = pg.graph();
         let n = g.num_vertices() as usize;
-        assert_eq!(state.len(), n, "state vector must cover every vertex");
         let threads = self.options.resolved_threads();
         let merge_cross = self.options.local_combination && prog.associative();
         let enc = pg.encoding();
@@ -946,6 +964,25 @@ mod tests {
         // Vertex v now holds the old value of v-1 (mod 8).
         let expect: Vec<u64> = (0..8u64).map(|v| (v + 7) % 8 + 1).collect();
         assert_eq!(state, expect);
+    }
+
+    #[test]
+    fn scalar_lane_rejects_a_short_state_vector_typed() {
+        let (c, pg) = two_partition_cycle();
+        let engine = PropagationEngine::new(&c, &pg, EngineOptions::full());
+        for len in [0usize, 7, 9] {
+            let mut state = vec![1u64; len];
+            let err = engine.run_iteration(&Rotate, &mut state).unwrap_err();
+            match &err {
+                SurferError::InvalidInput { reason } => {
+                    assert!(reason.contains(&format!("{len} entries")), "{reason}");
+                    assert!(reason.contains("8 vertices"), "{reason}");
+                }
+                other => panic!("expected InvalidInput, got {other:?}"),
+            }
+            assert!(!err.is_retryable());
+            assert_eq!(state, vec![1u64; len], "a rejected call must not touch the state");
+        }
     }
 
     #[test]

@@ -92,6 +92,13 @@ pub enum SurferError {
         /// The simulated clock when the expiry was detected.
         now: SimTime,
     },
+    /// The caller passed an argument the engine cannot run with (e.g. a
+    /// state vector that does not cover every vertex). Nothing ran; fix
+    /// the call rather than retrying it.
+    InvalidInput {
+        /// What is wrong with the input.
+        reason: String,
+    },
 }
 
 /// Shorthand result over [`SurferError`].
@@ -130,6 +137,7 @@ impl std::fmt::Display for SurferError {
             SurferError::DeadlineExceeded { deadline, now } => {
                 write!(f, "job missed its deadline ({deadline:?}, now {now:?})")
             }
+            SurferError::InvalidInput { reason } => write!(f, "invalid input: {reason}"),
         }
     }
 }
@@ -200,6 +208,7 @@ impl SurferError {
             SurferError::Overloaded { .. } => "Overloaded",
             SurferError::QuotaExceeded { .. } => "QuotaExceeded",
             SurferError::DeadlineExceeded { .. } => "DeadlineExceeded",
+            SurferError::InvalidInput { .. } => "InvalidInput",
         }
     }
 
@@ -239,6 +248,10 @@ mod tests {
         assert!(!SurferError::ClusterLost.is_retryable());
         assert!(!SurferError::ReplicasExhausted { partition: 0, iteration: 0 }.is_retryable());
         assert!(!SurferError::Unsupported { app: "x", primitive: "mapreduce" }.is_retryable());
+        let e = SurferError::InvalidInput { reason: "state vector too short".into() };
+        assert!(!e.is_retryable() && !e.is_backpressure());
+        assert_eq!(e.variant_name(), "InvalidInput");
+        assert!(e.to_string().contains("state vector too short"), "{e}");
     }
 
     #[test]

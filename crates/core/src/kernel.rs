@@ -1,13 +1,12 @@
 //! Vectorized propagation kernels over columnar vertex state.
 //!
 //! The scalar engine (`crate::engine`) drives every round through per-vertex
-//! generic UDF calls: an `Option<Msg>` per edge, a `BTreeSet` boundary probe
-//! per local message, a `BTreeMap` merge per cross message and a
-//! `Vec<Option<Msg>>` mailbox with per-slot `take()`. For the simple
-//! associative programs that dominate the paper's workload (PageRank-style
-//! rank flow, label/distance minima, degree counting) all of that dispatch
-//! is overhead: their transfer value is a single typed scalar per *source*
-//! vertex and their combine is a fold with an identity.
+//! generic UDF calls: an `Option<Msg>` per edge, a `BTreeMap` merge per
+//! cross message and a `Vec<Option<Msg>>` mailbox with per-slot `take()`.
+//! For the simple associative programs that dominate the paper's workload
+//! (PageRank-style rank flow, label/distance minima, degree counting) all of
+//! that dispatch is overhead: their transfer value is a single typed scalar
+//! per *source* vertex and their combine is a fold with an identity.
 //!
 //! This module compiles one propagation round into a small staged plan of
 //! vectorized operators — gather (edge scan over CSR slices, optionally the
@@ -16,7 +15,10 @@
 //! staged by producer/consumer buffer dependencies in the spirit of
 //! LocustDB's `ExecutorStage` grouping. Programs opt in by implementing
 //! [`VectorizedProgram`]; everything else keeps running through the scalar
-//! path unchanged.
+//! path unchanged. A program also returns itself from
+//! [`Propagation::columnar`], so callers that only know it as a
+//! `Propagation` — the serving layer's `PropagationJob` — reach the same
+//! lane through [`ColumnarLane`].
 //!
 //! # Bit-identity contract
 //!
@@ -39,8 +41,8 @@
 
 use crate::column::ColumnarState;
 use crate::engine::{
-    publish_iteration_sample, publish_transfer_counters, PartitionTally, PropagationEngine,
-    VirtualOutbox,
+    check_state_len, publish_iteration_sample, publish_transfer_counters, PartitionTally,
+    PropagationEngine, VirtualOutbox,
 };
 use crate::error::{SurferError, SurferResult};
 use crate::primitive::{Propagation, VirtualVertexTask};
@@ -104,6 +106,32 @@ pub trait VectorizedProgram: Propagation<Msg = <Self as VectorizedProgram>::Valu
         cols: &ColumnarState,
         g: &CsrGraph,
     ) -> Self::State;
+}
+
+/// A program's columnar lane behind its state type alone, so code that
+/// holds only a `P: Propagation` can still run a [`VectorizedProgram`]
+/// through the kernel lane. Every `VectorizedProgram` is one; programs
+/// expose it through [`Propagation::columnar`].
+pub trait ColumnarLane<S> {
+    /// One iteration through
+    /// [`PropagationEngine::run_iteration_vectorized_counted`]: the columnar
+    /// lane, or its scalar fallback when vectorization is off or the spill
+    /// lane is active.
+    fn iterate(
+        &self,
+        engine: &PropagationEngine<'_>,
+        state: &mut [S],
+    ) -> SurferResult<(ExecReport, u64)>;
+}
+
+impl<P: VectorizedProgram> ColumnarLane<P::State> for P {
+    fn iterate(
+        &self,
+        engine: &PropagationEngine<'_>,
+        state: &mut [P::State],
+    ) -> SurferResult<(ExecReport, u64)> {
+        engine.run_iteration_vectorized_counted(self, state)
+    }
 }
 
 /// A virtual-vertex task the dense vectorized virtual lane can execute.
@@ -237,13 +265,11 @@ fn stage_ops(ops: &[KernelOp]) -> Vec<Vec<usize>> {
     stages
 }
 
-/// Per-run kernel context: precomputed lookup structures shared by every
-/// round. Building it once amortizes the boundary bitmap and (optionally)
-/// the packed adjacency across iterations.
+/// Per-run kernel context shared by every round. Building it once
+/// amortizes the (optional) packed adjacency across iterations; the
+/// inner-vertex bitmap lives in the `PartitionedGraph` and costs nothing
+/// per build.
 pub(crate) struct VecRunner {
-    /// `inner[v]` ⇔ `v` is an inner vertex of its partition (replaces the
-    /// scalar path's per-message `BTreeSet` probe).
-    inner: Vec<bool>,
     /// Packed varint adjacency when `EngineOptions::packed_adjacency`.
     packed: Option<PackedCsr>,
     /// The staged operator plan (fixed per round shape).
@@ -253,12 +279,6 @@ pub(crate) struct VecRunner {
 impl VecRunner {
     pub(crate) fn build(pg: &PartitionedGraph, packed_adjacency: bool) -> VecRunner {
         let g = pg.graph();
-        let mut inner = vec![true; g.num_vertices() as usize];
-        for pid in pg.partitions() {
-            for &b in &pg.meta(pid).boundary {
-                inner[b.index()] = false;
-            }
-        }
         let packed = if packed_adjacency { Some(PackedCsr::from_csr(g)) } else { None };
         if surfer_obs::enabled() {
             surfer_obs::counter_add(surfer_obs::names::KERNEL_ADJACENCY_RAW_BYTES, 4 * g.num_edges());
@@ -266,7 +286,7 @@ impl VecRunner {
                 surfer_obs::counter_add(surfer_obs::names::KERNEL_ADJACENCY_PACKED_BYTES, p.packed_stream_bytes());
             }
         }
-        VecRunner { inner, packed, plan: KernelPlan::propagation_round() }
+        VecRunner { packed, plan: KernelPlan::propagation_round() }
     }
 }
 
@@ -295,11 +315,14 @@ fn run_round<P: VectorizedProgram>(
     disk_fraction: Option<&[f64]>,
     runner: &VecRunner,
 ) -> SurferResult<(ExecReport, u64)> {
+    check_state_len(engine.graph(), state.len())?;
     let _iter_span = surfer_obs::span_seq("prop.iteration");
+    surfer_obs::journal::record(surfer_obs::journal::EventKind::IterationStart {
+        lane: "vectorized",
+    });
     let pg = engine.graph();
     let g = pg.graph();
     let n = g.num_vertices() as usize;
-    assert_eq!(state.len(), n, "state vector must cover every vertex");
     let options = engine.options();
     let threads = options.resolved_threads();
     let merge_cross = options.local_combination && prog.associative();
@@ -325,7 +348,7 @@ fn run_round<P: VectorizedProgram>(
         let t0 = surfer_obs::stopwatch();
         let meta = pg.meta(pid);
         if surfer_obs::enabled() {
-            let inner = meta.members.iter().filter(|&&v| runner.inner[v.index()]).count() as u64;
+            let inner = meta.members.iter().filter(|&&v| pg.is_inner(v)).count() as u64;
             surfer_obs::counter_add("prop.inner_vertices", inner);
             surfer_obs::counter_add("prop.boundary_vertices", meta.members.len() as u64 - inner);
         }
@@ -362,7 +385,7 @@ fn run_round<P: VectorizedProgram>(
                 if q == pid {
                     t.local_bytes += bytes;
                     t.local_msgs += 1;
-                    if runner.inner[to.index()] {
+                    if pg.is_inner(to) {
                         t.local_inner_bytes += bytes;
                     }
                     msgs.push((enc.encode(to).0, val));
@@ -512,6 +535,7 @@ fn run_round<P: VectorizedProgram>(
         disk_fraction,
         &[],
     )?;
+    surfer_obs::journal::record(surfer_obs::journal::EventKind::IterationEnd { messages });
     Ok((report, messages))
 }
 
@@ -575,7 +599,9 @@ impl<'a> PropagationEngine<'a> {
         }
         let runner = VecRunner::build(self.graph(), self.options().packed_adjacency);
         let mut total = ExecReport::new(self.cluster().num_machines());
-        for _ in 0..iterations {
+        let _ctx = surfer_obs::journal::ctx_enter(surfer_obs::journal::current_ctx());
+        for it in 0..iterations {
+            surfer_obs::journal::set_iteration(it);
             let (r, _) = run_round(self, prog, state, None, &runner)?;
             total.absorb(&r);
         }
@@ -596,7 +622,9 @@ impl<'a> PropagationEngine<'a> {
         }
         let runner = VecRunner::build(self.graph(), self.options().packed_adjacency);
         let mut total = ExecReport::new(self.cluster().num_machines());
+        let _ctx = surfer_obs::journal::ctx_enter(surfer_obs::journal::current_ctx());
         for it in 0..max_iterations {
+            surfer_obs::journal::set_iteration(it);
             let (report, messages) = run_round(self, prog, state, None, &runner)?;
             total.absorb(&report);
             if messages == 0 {
@@ -833,6 +861,18 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn columnar_lane_rejects_a_short_state_vector_typed() {
+        let (c, pg) = two_partition_cycle();
+        let engine = PropagationEngine::new(&c, &pg, EngineOptions::full());
+        let mut state = vec![1u64; 3];
+        let err = engine.run_iteration_vectorized(&VecRotate, &mut state).unwrap_err();
+        assert!(matches!(err, SurferError::InvalidInput { .. }), "{err:?}");
+        let err = engine.run_vectorized(&VecRotate, &mut state, 2).unwrap_err();
+        assert!(matches!(err, SurferError::InvalidInput { .. }), "{err:?}");
+        assert_eq!(state, vec![1u64; 3], "a rejected call must not touch the state");
     }
 
     #[test]

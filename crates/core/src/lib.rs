@@ -32,7 +32,7 @@ pub use checkpoint::{
 pub use column::{ColumnarState, StateColumn};
 pub use engine::{EngineOptions, PropagationEngine};
 pub use error::{SurferError, SurferResult};
-pub use kernel::{ColumnValue, KernelPlan, VectorizedProgram, VectorizedVirtualTask};
+pub use kernel::{ColumnValue, ColumnarLane, KernelPlan, VectorizedProgram, VectorizedVirtualTask};
 pub use ooc::{working_set_bytes, MemoryBudget, SpillCodec};
 pub use opt::OptimizationLevel;
 pub use pipeline::{Pipeline, PipelineOutcome, StageKind, StageOutcome};

@@ -28,7 +28,8 @@
 //! retry with fresh spill files recovers cleanly.
 
 use crate::engine::{
-    publish_iteration_sample, publish_transfer_counters, PartitionTally, PropagationEngine,
+    check_state_len, publish_iteration_sample, publish_transfer_counters, PartitionTally,
+    PropagationEngine,
 };
 use crate::error::{SurferError, SurferResult};
 use crate::primitive::Propagation;
@@ -348,12 +349,11 @@ pub(crate) fn run_iteration_spilled<P: Propagation>(
     faults: &[Fault],
     spill_faults: &[SpillFault],
 ) -> SurferResult<(ExecReport, u64)> {
+    check_state_len(engine.graph(), state.len())?;
     let _iter_span = surfer_obs::span_seq("prop.iteration");
     surfer_obs::journal::record(surfer_obs::journal::EventKind::IterationStart { lane: "spill" });
     let pg = engine.graph();
     let g = pg.graph();
-    let n = g.num_vertices() as usize;
-    assert_eq!(state.len(), n, "state vector must cover every vertex");
     let options = engine.options();
     let threads = options.resolved_threads();
     let merge_cross = options.local_combination && prog.associative();
@@ -941,6 +941,19 @@ mod tests {
         let loose = EngineOptions::full().memory_budget(MemoryBudget::bytes(ws));
         let engine = PropagationEngine::new(&c, &pg, loose);
         assert!(!engine.spill_active(12));
+    }
+
+    #[test]
+    fn spill_lane_rejects_a_short_state_vector_typed() {
+        let (c, pg) = two_partition_cycle();
+        let opts = EngineOptions::full().memory_budget(MemoryBudget::bytes(16));
+        let engine = PropagationEngine::new(&c, &pg, opts);
+        assert!(engine.spill_active(SpillRotate.state_bytes()));
+        let mut state = vec![1u64; 5];
+        let err = engine.run_iteration(&SpillRotate, &mut state).unwrap_err();
+        assert!(matches!(err, SurferError::InvalidInput { .. }), "{err:?}");
+        assert!(err.to_string().contains("5 entries"), "{err}");
+        assert_eq!(state, vec![1u64; 5], "a rejected call must not touch the state");
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! developer-chosen virtual vertex id, and `combine` runs on the virtual
 //! vertices — emulating MapReduce within Surfer (§3.2's VDD example).
 
+use crate::kernel::ColumnarLane;
 use surfer_graph::{CsrGraph, VertexId};
 
 /// An edge-oriented propagation program.
@@ -104,6 +105,15 @@ pub trait Propagation: Sync {
     /// CPU record-operations per combined message.
     fn combine_ops(&self) -> f64 {
         1.0
+    }
+
+    /// This program's columnar kernel lane, if it has one. Every
+    /// [`VectorizedProgram`](crate::VectorizedProgram) should return
+    /// `Some(self)`, so that callers which only know a `Propagation` (the
+    /// serving layer's `PropagationJob`) take the columnar lane too. The
+    /// default `None` keeps the program on the scalar UDF lane.
+    fn columnar(&self) -> Option<&dyn ColumnarLane<Self::State>> {
+        None
     }
 }
 

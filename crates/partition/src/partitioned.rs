@@ -56,6 +56,10 @@ pub struct PartitionedGraph {
     placement: Vec<MachineId>,
     encoding: VertexEncoding,
     meta: Vec<PartitionMeta>,
+    /// Inner-vertex bitmap: bit `v` is set iff `v` is on no cross-partition
+    /// edge. Derived once from the boundary sets, so [`Self::is_inner`] is
+    /// one word load instead of a `BTreeSet` probe.
+    inner: Vec<u64>,
 }
 
 impl PartitionedGraph {
@@ -113,8 +117,13 @@ impl PartitionedGraph {
                 meta[pd as usize].boundary.insert(e.dst);
             }
         }
+        let n = graph.num_vertices() as usize;
+        let mut inner = vec![!0u64; n.div_ceil(64)];
+        for b in meta.iter().flat_map(|m| &m.boundary) {
+            inner[b.index() / 64] &= !(1 << (b.index() % 64));
+        }
         let encoding = VertexEncoding::new(&partitioning);
-        PartitionedGraph { graph, partitioning, placement, encoding, meta }
+        PartitionedGraph { graph, partitioning, placement, encoding, meta, inner }
     }
 
     /// The underlying graph.
@@ -170,8 +179,9 @@ impl PartitionedGraph {
 
     /// True when `v` is an inner vertex of its partition (no cross-partition
     /// edge in either direction) — the precondition for local propagation.
+    #[inline]
     pub fn is_inner(&self, v: VertexId) -> bool {
-        !self.meta[self.pid_of(v) as usize].boundary.contains(&v)
+        (self.inner[v.index() / 64] >> (v.index() % 64)) & 1 == 1
     }
 
     /// Overall inner-edge ratio.
@@ -215,6 +225,25 @@ mod tests {
         }
         assert!(pg.meta(0).boundary.contains(&VertexId(2)));
         assert!(pg.meta(1).boundary.contains(&VertexId(3)));
+    }
+
+    #[test]
+    fn inner_bitmap_matches_boundary_sets_across_word_boundaries() {
+        // A 130-vertex path in three blocks: the block edges put 63/64 and
+        // 127/128 on the boundary, straddling the bitmap's 64-bit words.
+        let g = from_edges(130, (0..129u32).map(|v| (v, v + 1)).collect::<Vec<_>>());
+        let p = Partitioning::new((0..130u32).map(|v| (v / 64).min(2)).collect(), 3);
+        let pg = PartitionedGraph::from_parts(
+            Arc::new(g),
+            p,
+            vec![MachineId(0), MachineId(1), MachineId(0)],
+        );
+        for v in pg.graph().vertices() {
+            assert_eq!(pg.is_inner(v), !pg.meta(pg.pid_of(v)).boundary.contains(&v), "{v:?}");
+        }
+        let outer: Vec<u32> =
+            pg.graph().vertices().filter(|&v| !pg.is_inner(v)).map(|v| v.0).collect();
+        assert_eq!(outer, vec![63, 64, 127, 128]);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! - [`PropagationJob`] steps a propagation program one engine iteration at
 //!   a time, so the scheduler can interleave tenants at iteration
-//!   granularity;
+//!   granularity — on the columnar kernel lane when the program has one
+//!   ([`Propagation::columnar`]), else on the scalar UDF lane;
 //! - [`RecoveredJob`] runs a whole checkpointed job
 //!   ([`run_with_recovery`]) as one slice — the unit the chaos suite uses
 //!   to aim a [`FaultPlan`] at a single tenant.
@@ -113,6 +114,14 @@ pub fn encode_states<S: Checkpointable>(states: &[S]) -> Vec<u8> {
 /// A propagation program served one engine iteration per slice. Slice cost
 /// is the iteration's simulated response time; the output is the encoded
 /// final state vector.
+///
+/// Each slice takes the program's columnar lane ([`Propagation::columnar`])
+/// when it has one. That lane falls back to the scalar UDF lane when the
+/// engine's `vectorized` option is off or its memory budget diverts the
+/// program through the spill lane; programs without the hook run on the
+/// scalar UDF lane (or the spill lane under an exceeded budget). All lanes
+/// are bit-identical, so the lane never changes the output bytes or the
+/// slice costs.
 pub struct PropagationJob<'a, P: Propagation> {
     engine: PropagationEngine<'a>,
     prog: &'a P,
@@ -145,7 +154,10 @@ where
         // manager pushed it) so a failing slice's forensics name the
         // iteration, not just the job.
         surfer_obs::journal::set_iteration(self.completed);
-        let report = self.engine.run_iteration(self.prog, &mut self.state)?;
+        let (report, _) = match self.prog.columnar() {
+            Some(lane) => lane.iterate(&self.engine, &mut self.state)?,
+            None => self.engine.run_iteration_counted(self.prog, &mut self.state)?,
+        };
         self.completed += 1;
         if self.completed == self.iterations {
             Ok(StepOutcome::Done {

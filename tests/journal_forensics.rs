@@ -18,13 +18,16 @@
 
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use surfer::apps::pagerank::PageRankPropagation;
 use surfer::cluster::{
     ClusterConfig, FaultPlan, MachineCrash, MachineId, SimCluster, SnapshotCorruption, UdfPanicAt,
 };
-use surfer::core::{EngineOptions, PropagationEngine, RecoveryConfig};
+use surfer::core::{EngineOptions, Propagation, PropagationEngine, RecoveryConfig, SurferError};
 use surfer::graph::builder::from_edges;
+use surfer::graph::{CsrGraph, VertexId};
+use surfer::obs::journal::{EventKind, JournalEvent};
 use surfer::obs::postmortem::{self, PostmortemBundle};
 use surfer::obs::journal;
 use surfer::partition::{PartitionedGraph, Partitioning};
@@ -207,6 +210,185 @@ fn replica_exhaustion_bundle_pins_the_failed_checkpoint() {
         bundle.events.iter().any(|e| e.kind.name() == "replica_failover"),
         "the failed failover attempts must be on record"
     );
+}
+
+/// `(iteration, lane)` of every `iteration_start` event `job` recorded.
+fn iteration_lanes(events: &[JournalEvent], job: u64) -> Vec<(u32, &'static str)> {
+    events
+        .iter()
+        .filter(|e| e.ctx.job == job)
+        .filter_map(|e| match e.kind {
+            EventKind::IterationStart { lane } => Some((e.ctx.iteration, lane)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A served PageRank job runs on the columnar lane, which records its own
+/// iteration events: lane `"vectorized"`, iterations 0..k-1, each closed by
+/// an `iteration_end`.
+#[test]
+fn served_pagerank_iterations_are_journaled_on_the_vectorized_lane() {
+    let _g = gate();
+    let (c, pg) = fixture();
+    let p = prog();
+    for threads in [1usize, 2, 0] {
+        journal::reset();
+        let mut m = JobManager::new(ServeConfig::default());
+        let engine = PropagationEngine::new(&c, &pg, EngineOptions::full().threads(threads));
+        let job = m
+            .submit(
+                JobSpec::new(TenantId(0)),
+                Box::new(PropagationJob::new(engine, &p, ITERATIONS)),
+            )
+            .unwrap();
+        m.run_to_completion();
+        assert!(m.outcome(job).unwrap().result.is_ok());
+        let events = journal::snapshot();
+        let want: Vec<(u32, &str)> = (0..ITERATIONS).map(|it| (it, "vectorized")).collect();
+        assert_eq!(iteration_lanes(&events, job.0), want, "threads={threads}");
+        let ends = events
+            .iter()
+            .filter(|e| e.ctx.job == job.0 && matches!(e.kind, EventKind::IterationEnd { .. }))
+            .count();
+        assert_eq!(ends, ITERATIONS as usize, "threads={threads}: every iteration must end");
+    }
+}
+
+/// PageRank whose `transfer` from the poisoned vertex panics from iteration
+/// `at` on. It has no columnar hook, so it is served on the scalar lane.
+/// `seen` counts the combines of the poisoned vertex (one per finished
+/// iteration); `init` of that vertex rewinds it, so a retried attempt
+/// replays the same schedule.
+struct PoisonedPageRank {
+    inner: PageRankPropagation,
+    poison: u32,
+    at: u32,
+    seen: AtomicU32,
+}
+
+impl Propagation for PoisonedPageRank {
+    type State = f64;
+    type Msg = f64;
+
+    fn init(&self, v: VertexId, g: &CsrGraph) -> f64 {
+        if v.0 == self.poison {
+            self.seen.store(0, Ordering::SeqCst);
+        }
+        self.inner.init(v, g)
+    }
+
+    fn transfer(&self, from: VertexId, state: &f64, to: VertexId, g: &CsrGraph) -> Option<f64> {
+        let poisoned = from.0 == self.poison && self.seen.load(Ordering::SeqCst) >= self.at;
+        assert!(!poisoned, "poisoned transfer");
+        self.inner.transfer(from, state, to, g)
+    }
+
+    fn combine(&self, v: VertexId, old: &f64, msgs: Vec<f64>, g: &CsrGraph) -> f64 {
+        if v.0 == self.poison {
+            self.seen.fetch_add(1, Ordering::SeqCst);
+        }
+        self.inner.combine(v, old, msgs, g)
+    }
+
+    fn associative(&self) -> bool {
+        self.inner.associative()
+    }
+
+    fn merge(&self, a: f64, b: f64) -> f64 {
+        self.inner.merge(a, b)
+    }
+
+    fn msg_bytes(&self, msg: &f64) -> u64 {
+        self.inner.msg_bytes(msg)
+    }
+}
+
+/// A served job whose UDF panics past its retry budget: the bundle's last
+/// iteration event for that job is the poisoned iteration of the final
+/// attempt, on lane `"resident"` (no columnar hook), and never ended; the
+/// healthy neighbour's events are on lane `"vectorized"`. Bit-identical
+/// across thread counts.
+#[test]
+fn poisoned_serve_exhaustion_bundle_names_the_resident_iteration() {
+    let _g = gate();
+    const POISONED_ITERATION: u32 = 2;
+    let (c, pg) = fixture();
+    let p = prog();
+    let poisoned = PoisonedPageRank {
+        inner: prog(),
+        poison: 4,
+        at: POISONED_ITERATION,
+        seen: AtomicU32::new(0),
+    };
+    let mut canonical: Option<String> = None;
+    for threads in [1usize, 2, 0] {
+        journal::reset();
+        let _ = postmortem::take_last();
+        let opts = EngineOptions::full().threads(threads);
+        let mut m = JobManager::new(ServeConfig::default());
+        let healthy = m
+            .submit(
+                JobSpec::new(TenantId(0)),
+                Box::new(PropagationJob::new(
+                    PropagationEngine::new(&c, &pg, opts),
+                    &p,
+                    ITERATIONS,
+                )),
+            )
+            .unwrap();
+        let faulted = m
+            .submit(
+                JobSpec::new(TenantId(1)).retries(1),
+                Box::new(PropagationJob::new(
+                    PropagationEngine::new(&c, &pg, opts),
+                    &poisoned,
+                    ITERATIONS,
+                )),
+            )
+            .unwrap();
+        m.run_to_completion();
+        let out = m.outcome(faulted).unwrap();
+        assert!(
+            matches!(out.result, Err(SurferError::UdfPanic { stage: "transfer", .. })),
+            "threads={threads}: {:?}",
+            out.result
+        );
+        assert_eq!(out.retries, 1, "threads={threads}: the retry budget must be spent");
+
+        let bundle = postmortem::take_last().expect("a typed serve failure flushes a bundle");
+        assert_eq!(bundle.fault_variant, "UdfPanic", "threads={threads}");
+        assert_eq!(bundle.fault_ctx.job, faulted.0, "threads={threads}");
+        assert_eq!(bundle.fault_ctx.tenant, 1, "threads={threads}");
+        let starts: Vec<&JournalEvent> = bundle
+            .events
+            .iter()
+            .filter(|e| e.ctx.job == faulted.0 && e.kind.name() == "iteration_start")
+            .collect();
+        let last = starts.last().expect("the faulted job's iterations are on record");
+        assert_eq!(last.kind, EventKind::IterationStart { lane: "resident" }, "threads={threads}");
+        assert_eq!(
+            (last.ctx.iteration, last.ctx.attempt),
+            (POISONED_ITERATION, 1),
+            "threads={threads}: the bundle must name the poisoned iteration of the last attempt"
+        );
+        assert!(
+            !bundle.events.iter().any(|e| e.ctx.job == faulted.0
+                && e.seq > last.seq
+                && e.kind.name() == "iteration_end"),
+            "threads={threads}: the poisoned iteration must not end"
+        );
+        assert!(
+            iteration_lanes(&bundle.events, healthy.0).iter().all(|&(_, lane)| lane == "vectorized"),
+            "threads={threads}: the healthy neighbour runs on the columnar lane"
+        );
+        let json = bundle.to_json();
+        assert!(postmortem::validate(&json).is_empty(), "threads={threads}");
+        match &canonical {
+            None => canonical = Some(json),
+            Some(first) => assert_eq!(first, &json, "bundle diverged at threads={threads}"),
+        }
+    }
 }
 
 proptest! {
